@@ -8,8 +8,9 @@ use std::hint::black_box;
 
 use sabre_core::{LightSabres, LightSabresConfig, SabreId, StreamBuffer};
 use sabre_mem::{Addr, BlockAddr, Llc, NodeMemory, BLOCK_BYTES};
+use sabre_rack::workloads::{update_chunks, Writer, WriterLayout};
 use sabre_rack::{spec, Cluster, ClusterConfig, ReadMechanism, ScenarioBuilder};
-use sabre_sim::{CalendarQueue, EventQueue, LatencyHistogram, Time};
+use sabre_sim::{EventQueue, LatencyHistogram, Time};
 use sabre_sw::layout::PerClLayout;
 use sabre_sw::{crc64_ecma, crc64_ecma_scalar, VersionWord};
 
@@ -117,51 +118,13 @@ fn bench_sim_primitives(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    // The calendar variant over the same schedule — the structure the
-    // windowed loop actually runs on (35 ns buckets = fabric lookahead).
-    // 1000 pending events push it well past the adaptive queue's heap
-    // threshold, so this measures bucketed mode (plus one migration).
-    g.bench_function("calendar_queue_schedule_pop_1k", |b| {
-        b.iter_batched(
-            || CalendarQueue::<u64>::new(Time::from_ns(35)),
-            |mut q| {
-                for i in 0..1000u64 {
-                    q.schedule(Time::from_ns(i * 7 % 501), i);
-                }
-                while let Some(e) = q.pop() {
-                    black_box(e);
-                }
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    // The windowed interleave both queues see in the sharded loop: pop an
-    // event, schedule a short-horizon follow-up — the steady state of a
-    // busy node queue.
+    // The windowed interleave a node queue sees in the sharded loop: pop
+    // an event, schedule a short-horizon follow-up — the steady state of
+    // a busy node queue.
     g.bench_function("event_queue_windowed_churn_4k", |b| {
         b.iter_batched(
             || {
                 let mut q = EventQueue::new();
-                q.schedule(Time::ZERO, 0u64);
-                q
-            },
-            |mut q| {
-                for i in 1..4096u64 {
-                    let (t, e) = q.pop().expect("seeded");
-                    black_box(e);
-                    q.schedule(t + Time::from_ns(i * 13 % 97), i);
-                }
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    // One in-flight event at a time: the mostly-idle pattern the adaptive
-    // queue's plain-heap mode exists for (it never reaches the bucket
-    // threshold, so this row tracks the event_queue variant's cost).
-    g.bench_function("calendar_queue_windowed_churn_4k", |b| {
-        b.iter_batched(
-            || {
-                let mut q = CalendarQueue::new(Time::from_ns(35));
                 q.schedule(Time::ZERO, 0u64);
                 q
             },
@@ -217,6 +180,39 @@ fn bench_sim_primitives(c: &mut Criterion) {
             i = (i + 997) % 100_000;
             black_box(llc.access(BlockAddr::from_index(i)))
         })
+    });
+    g.finish();
+}
+
+fn bench_writer(c: &mut Criterion) {
+    let mut g = c.benchmark_group("writer");
+    // One full 8 KB (Fig. 8 size) checksum-layout update: the lock, one
+    // store per cache block, the CRC, the publish, each a writer wake one
+    // store interval apart. The update's stores are built once at lock
+    // time; rebuilding them on every store would make this quadratic in
+    // the object's blocks.
+    let (payload, layout) = (8192, WriterLayout::Checksum);
+    let cfg = ClusterConfig {
+        memory_bytes: 1 << 20,
+        ..ClusterConfig::default()
+    };
+    let stores = update_chunks(layout, Addr::new(0), 0, 0, payload, 0).len();
+    // Lock, stores, the wake that finds none left, publish.
+    let update = cfg.writer_store_interval * (stores as u64 + 3);
+    let mut cluster = Cluster::new(cfg);
+    cluster.add_workload(
+        1,
+        0,
+        Box::new(Writer::new(
+            vec![(0, Addr::new(0))],
+            payload as u32,
+            layout,
+            Time::ZERO,
+        )),
+    );
+    cluster.run_for(update);
+    g.bench_function("writer_update_8k", |b| {
+        b.iter(|| black_box(&mut cluster).run_for(update))
     });
     g.finish();
 }
@@ -279,6 +275,7 @@ criterion_group!(
     bench_engine,
     bench_software_kernels,
     bench_sim_primitives,
+    bench_writer,
     bench_window_scheduler
 );
 criterion_main!(benches);

@@ -180,8 +180,8 @@ impl WriteLog {
 enum RwPhase {
     /// Between updates (think pause running).
     Idle,
-    /// Version word locked; payload chunk `chunk` is the next store.
-    Writing { chunk: usize },
+    /// Version word locked; storing the update's blocks one per wake.
+    Writing,
     /// All data written; the publish store is next.
     Publishing,
     /// Published; the log record store is next.
@@ -236,6 +236,9 @@ pub struct RecoveringWriter {
     /// Completed updates — also the latest own log seq (1-based).
     applied: u64,
     locked_version: u64,
+    /// The current update's block stores not yet applied, built once at
+    /// lock time.
+    stores: std::vec::IntoIter<(Addr, Vec<u8>)>,
     state: ReplicaState,
     phase: RwPhase,
     /// `Some(target)`: replaying pulled updates up to log seq `target`.
@@ -291,6 +294,7 @@ impl RecoveringWriter {
             respect_reader_locks: false,
             applied: 0,
             locked_version: 0,
+            stores: Vec::new().into_iter(),
             state: ReplicaState::Live,
             phase: RwPhase::Idle,
             replay_until: None,
@@ -326,19 +330,6 @@ impl RecoveringWriter {
 
     fn obj(&self) -> (u64, Addr) {
         self.objects[(self.applied % self.objects.len() as u64) as usize]
-    }
-
-    /// The single-block stores of the current update, in protocol order.
-    fn chunks(&self) -> Vec<(Addr, Vec<u8>)> {
-        let (obj_id, base) = self.obj();
-        update_chunks(
-            self.layout,
-            base,
-            obj_id,
-            self.applied,
-            self.payload as usize,
-            self.locked_version,
-        )
     }
 
     /// The outage window covering `now` on this writer's own node, if any.
@@ -395,7 +386,7 @@ impl RecoveringWriter {
                 "pulled record disagrees with schedule"
             );
         }
-        let (_, base) = self.obj();
+        let (obj_id, base) = self.obj();
         if self.respect_reader_locks {
             let rlock = api.read_local(base + 8u64, 8);
             let readers = u64::from_le_bytes(rlock.try_into().expect("8 bytes"));
@@ -413,7 +404,16 @@ impl RecoveringWriter {
         if self.layout.takes_lock() {
             api.store_local_u64(va, v.locked().raw());
         }
-        self.phase = RwPhase::Writing { chunk: 0 };
+        self.stores = update_chunks(
+            self.layout,
+            base,
+            obj_id,
+            self.applied,
+            self.payload as usize,
+            self.locked_version,
+        )
+        .into_iter();
+        self.phase = RwPhase::Writing;
         api.sleep(api.config().writer_store_interval);
     }
 
@@ -542,12 +542,9 @@ impl Workload for RecoveringWriter {
         match self.phase {
             RwPhase::Idle => self.begin(api),
             RwPhase::Frozen => self.resume_from_outage(api),
-            RwPhase::Writing { chunk } => {
-                let chunks = self.chunks();
-                if chunk < chunks.len() {
-                    let (addr, data) = &chunks[chunk];
-                    api.store_local(*addr, data);
-                    self.phase = RwPhase::Writing { chunk: chunk + 1 };
+            RwPhase::Writing => {
+                if let Some((addr, data)) = self.stores.next() {
+                    api.store_local(addr, &data);
                 } else {
                     self.phase = RwPhase::Publishing;
                 }

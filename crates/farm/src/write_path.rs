@@ -9,6 +9,7 @@
 
 use std::collections::VecDeque;
 
+use sabre_mem::Addr;
 use sabre_rack::workloads::{update_chunks, WriterLayout};
 use sabre_rack::{CoreApi, Workload};
 use sabre_sim::Time;
@@ -28,7 +29,7 @@ struct PendingWrite {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ServerPhase {
     Idle,
-    Writing { chunk: usize },
+    Writing,
     Publishing,
 }
 
@@ -42,6 +43,9 @@ pub struct RpcWriteServer {
     phase: ServerPhase,
     seq: u64,
     locked_version: u64,
+    /// The current update's block stores not yet applied, built once at
+    /// lock time.
+    stores: std::vec::IntoIter<(Addr, Vec<u8>)>,
     applied: u64,
 }
 
@@ -55,6 +59,7 @@ impl RpcWriteServer {
             phase: ServerPhase::Idle,
             seq: 1,
             locked_version: 0,
+            stores: Vec::new().into_iter(),
             applied: 0,
         }
     }
@@ -79,7 +84,8 @@ impl RpcWriteServer {
             return;
         };
         let layout = self.layout();
-        let va = layout.version_addr(self.kv.store().object_addr(req.obj));
+        let base = self.kv.store().object_addr(req.obj);
+        let va = layout.version_addr(base);
         let v = VersionWord::new(u64::from_le_bytes(
             api.read_local(va, 8).try_into().expect("8 bytes"),
         ));
@@ -87,7 +93,16 @@ impl RpcWriteServer {
         if layout.takes_lock() {
             api.store_local_u64(va, v.locked().raw());
         }
-        self.phase = ServerPhase::Writing { chunk: 0 };
+        self.stores = update_chunks(
+            layout,
+            base,
+            req.obj,
+            self.seq,
+            self.kv.store().payload() as usize,
+            self.locked_version,
+        )
+        .into_iter();
+        self.phase = ServerPhase::Writing;
         api.sleep(api.config().writer_store_interval);
     }
 }
@@ -119,19 +134,9 @@ impl Workload for RpcWriteServer {
         let base = self.kv.store().object_addr(req.obj);
         match self.phase {
             ServerPhase::Idle => unreachable!("idle server does not sleep"),
-            ServerPhase::Writing { chunk } => {
-                let chunks = update_chunks(
-                    self.layout(),
-                    base,
-                    req.obj,
-                    self.seq,
-                    self.kv.store().payload() as usize,
-                    self.locked_version,
-                );
-                if chunk < chunks.len() {
-                    let (addr, data) = &chunks[chunk];
-                    api.store_local(*addr, data);
-                    self.phase = ServerPhase::Writing { chunk: chunk + 1 };
+            ServerPhase::Writing => {
+                if let Some((addr, data)) = self.stores.next() {
+                    api.store_local(addr, &data);
                 } else {
                     self.phase = ServerPhase::Publishing;
                 }

@@ -42,9 +42,9 @@
 //! barrier where the single coordinator runs the deterministic merge,
 //! and the result stays bit-identical at **every thread count** too —
 //! the torture and equivalence tests pin `threads ∈ {1, 2, shards}`
-//! down. Each node's queue is a [`CalendarQueue`] whose bucket width is
-//! the lookahead, so a window is drained as one pre-sorted batch instead
-//! of per-event binary heap pops.
+//! down. Each node's queue is a plain [`EventQueue`] binary heap: a
+//! window drains it by popping events up to the window end, in
+//! `(time, schedule order)` order.
 //!
 //! # O(active) window scheduling
 //!
@@ -71,7 +71,7 @@ use std::sync::{Barrier, Mutex};
 
 use sabre_fabric::{Fabric, FabricPort, Outbox, ShardRouter};
 use sabre_mem::{Addr, BlockAddr, Llc, MemSystem, NodeMemory, ServiceLevel, BLOCK_BYTES};
-use sabre_sim::{CalendarQueue, FifoServer, SimRng, Time};
+use sabre_sim::{EventQueue, FifoServer, SimRng, Time};
 use sabre_sonuma::r2p2::{R2p2Action, R2p2Stats};
 use sabre_sonuma::{
     Block, CqEntry, MemToken, OpKind, Packet, PacketKind, R2p2, SourcePipeline, WqEntry,
@@ -163,9 +163,8 @@ struct NodeCtx {
     pump_on: Vec<bool>,
     pipelines: Vec<SourcePipeline>,
     rgp_unroll: Vec<FifoServer>,
-    /// This node's own event queue, bucketed by the fabric lookahead so
-    /// each window drains as one sorted batch.
-    queue: CalendarQueue<Event>,
+    /// This node's own event queue.
+    queue: EventQueue<Event>,
     /// Monotonicity watermark of the node's local event time; during
     /// event handling this *is* the current simulated instant.
     now: Time,
@@ -198,7 +197,6 @@ impl Cluster {
             panic!("invalid cluster configuration: {e}");
         }
         let root_rng = SimRng::seed(cfg.seed);
-        let lookahead = cfg.fabric.min_latency();
         let nodes = (0..cfg.nodes)
             .map(|n| NodeCtx {
                 memory: NodeMemory::new(cfg.memory_bytes),
@@ -225,7 +223,7 @@ impl Cluster {
                     .map(|p| SourcePipeline::new(n as u8, p as u8, cfg.rmc_backends as u8))
                     .collect(),
                 rgp_unroll: vec![FifoServer::new(); cfg.rmc_backends],
-                queue: CalendarQueue::new(lookahead),
+                queue: EventQueue::new(),
                 now: Time::ZERO,
                 workloads: (0..cfg.cores_per_node).map(|_| None).collect(),
                 metrics: vec![CoreMetrics::default(); cfg.cores_per_node],
@@ -737,7 +735,7 @@ impl<'a> ShardExec<'a> {
         // (which would mean a handler scheduled onto a foreign node and
         // the hint heap missed it).
         #[cfg(debug_assertions)]
-        for n in self.nodes.iter_mut() {
+        for n in self.nodes.iter() {
             if let Some(t) = n.queue.peek_time() {
                 debug_assert!(
                     t > window_end,
@@ -1431,6 +1429,36 @@ mod tests {
         // Latency is in the paper's ballpark: ~3-4× local memory access.
         let lat = cluster.metrics(0, 0).latency.mean().unwrap();
         assert!((150.0..500.0).contains(&lat), "64B-ish read at {lat} ns");
+    }
+
+    #[test]
+    fn rmc_backend_count_is_bounded_by_its_8_bit_width() {
+        let cfg = ClusterConfig {
+            rmc_backends: 256,
+            ..small_cfg()
+        };
+        assert!(cfg.validate().is_err());
+        // The widest accepted count builds and runs: every core of a
+        // 255-backend node gets its own pipe.
+        let mut cluster = Cluster::new(ClusterConfig {
+            rmc_backends: 255,
+            ..small_cfg()
+        });
+        cluster.node_memory_mut(1).write_u64(Addr::new(0), 0);
+        for core in 0..2 {
+            cluster.add_workload(
+                0,
+                core,
+                spec()
+                    .store(1)
+                    .payload(256)
+                    .mechanism(ReadMechanism::Sabre)
+                    .iterations(3)
+                    .build(&[Addr::new(0)]),
+            );
+        }
+        cluster.run_for(Time::from_us(5));
+        assert_eq!(cluster.node_metrics(0).ops, 6);
     }
 
     #[test]

@@ -423,8 +423,11 @@ impl ClusterConfig {
         if self.cores_per_node == 0 || self.rmc_backends == 0 {
             return Err("cores and RMC backends must be positive".into());
         }
-        if self.rmc_backends > 256 || self.cores_per_node > 256 {
-            return Err("pipe and core ids are 8-bit".into());
+        if self.rmc_backends > usize::from(u8::MAX) {
+            return Err("the RMC backend count is 8-bit (at most 255)".into());
+        }
+        if self.cores_per_node > 256 {
+            return Err("core ids are 8-bit".into());
         }
         if self.nodes > 256 {
             return Err("node ids are 8-bit".into());

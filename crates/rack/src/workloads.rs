@@ -56,6 +56,8 @@ pub fn verify_payload(obj_id: u64, data: &[u8]) -> Option<u64> {
 /// The sequence of single-block stores one object update performs under
 /// `layout`, in protocol order (the version word stores around them are the
 /// caller's job). Shared by local [`Writer`]s and the FaRM RPC write server.
+/// Every input is fixed once the version word is locked, so a writer
+/// builds the stores once, at lock time, and applies one per wake.
 ///
 /// For the per-CL layout the head line comes *last*: it carries the header
 /// version every stamp is compared against, so writing it last publishes
@@ -563,10 +565,8 @@ impl WriterLayout {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum WriterPhase {
     Idle,
-    /// Version word set odd; writing payload chunk `chunk` next.
-    Writing {
-        chunk: usize,
-    },
+    /// Version word set odd; storing the update's blocks one per wake.
+    Writing,
     /// All data written; publish (even version) next.
     Publishing,
     /// Waiting for readers to drain (locking-mode experiments).
@@ -594,6 +594,9 @@ pub struct Writer {
     phase: WriterPhase,
     /// The (even) version read at lock time; the update publishes at +2.
     locked_version: u64,
+    /// The current update's block stores not yet applied, built once at
+    /// lock time.
+    stores: std::vec::IntoIter<(Addr, Vec<u8>)>,
     updates: u64,
 }
 
@@ -617,6 +620,7 @@ impl Writer {
             cur: 0,
             phase: WriterPhase::Idle,
             locked_version: 0,
+            stores: Vec::new().into_iter(),
             updates: 0,
         }
     }
@@ -640,19 +644,6 @@ impl Writer {
     fn obj_id(&self) -> u64 {
         self.objects[self.cur].0
     }
-
-    /// The payload chunks of the current update, split on absolute cache
-    /// block boundaries so each is a single store.
-    fn chunks(&self) -> Vec<(Addr, Vec<u8>)> {
-        update_chunks(
-            self.layout,
-            self.base(),
-            self.obj_id(),
-            self.seq,
-            self.payload as usize,
-            self.locked_version,
-        )
-    }
 }
 
 impl Writer {
@@ -674,7 +665,16 @@ impl Writer {
         if self.layout.takes_lock() {
             api.store_local_u64(va, v.locked().raw());
         }
-        self.phase = WriterPhase::Writing { chunk: 0 };
+        self.stores = update_chunks(
+            self.layout,
+            self.base(),
+            self.obj_id(),
+            self.seq,
+            self.payload as usize,
+            self.locked_version,
+        )
+        .into_iter();
+        self.phase = WriterPhase::Writing;
         api.sleep(api.config().writer_store_interval);
     }
 }
@@ -688,12 +688,9 @@ impl Workload for Writer {
         match self.phase {
             WriterPhase::Idle => self.begin_update(api),
             WriterPhase::SpinningOnReaders => self.begin_update(api),
-            WriterPhase::Writing { chunk } => {
-                let chunks = self.chunks();
-                if chunk < chunks.len() {
-                    let (addr, data) = &chunks[chunk];
-                    api.store_local(*addr, data);
-                    self.phase = WriterPhase::Writing { chunk: chunk + 1 };
+            WriterPhase::Writing => {
+                if let Some((addr, data)) = self.stores.next() {
+                    api.store_local(addr, &data);
                     api.sleep(api.config().writer_store_interval);
                 } else {
                     self.phase = WriterPhase::Publishing;

@@ -4,10 +4,10 @@
 //!
 //! * [`Time`] — virtual time in integer picoseconds, with frequency-aware
 //!   cycle conversions ([`Freq`]).
-//! * [`EventQueue`] — a stable (FIFO-within-same-timestamp) priority queue of
-//!   timestamped events, generic over the event payload.
-//! * [`CalendarQueue`] — the same contract bucketed by time window, so a
-//!   windowed loop drains each lookahead span as one sorted batch.
+//! * [`EventQueue`] — a stable (FIFO-within-same-timestamp) binary-heap
+//!   priority queue of timestamped events, generic over the event
+//!   payload. It is the simulator's only event queue: every rack node
+//!   drains its own, one lookahead window at a time.
 //! * [`server`] — analytic queued servers used to model bandwidth-limited
 //!   resources (memory channels, fabric links, pipelines).
 //! * [`stats`] — counters, mean/max trackers, log-bucketed histograms and
@@ -29,14 +29,12 @@
 //! assert_eq!((t, ev), (Time::from_ns(1), "early"));
 //! ```
 
-pub mod calendar;
 pub mod queue;
 pub mod rng;
 pub mod server;
 pub mod stats;
 pub mod time;
 
-pub use calendar::CalendarQueue;
 pub use queue::EventQueue;
 pub use rng::{SimRng, Zipf};
 pub use server::{BandwidthServer, FifoServer};
