@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use std::hint::black_box;
 
 use sabre_core::{LightSabres, LightSabresConfig, SabreId, StreamBuffer};
+use sabre_fabric::ShardRouter;
 use sabre_mem::{Addr, BlockAddr, Llc, NodeMemory, BLOCK_BYTES};
 use sabre_rack::workloads::{update_chunks, Writer, WriterLayout};
 use sabre_rack::{spec, Cluster, ClusterConfig, ReadMechanism, ScenarioBuilder};
@@ -133,6 +134,31 @@ fn bench_sim_primitives(c: &mut Criterion) {
                     let (t, e) = q.pop().expect("seeded");
                     black_box(e);
                     q.schedule(t + Time::from_ns(i * 13 % 97), i);
+                }
+            },
+            BatchSize::SmallInput,
+        )
+    });
+    // The same churn with a 104 B payload, the size of the cluster's
+    // `Event` (a packet with its 64 B block inline), on a queue holding
+    // 32 pending events: the perfbench workloads pop with 15–50 pending
+    // on average, so every schedule and pop moves whole 120 B heap
+    // entries through a few levels. The `u64` rows above, on a queue of
+    // one, cannot see that payload-size cost.
+    g.bench_function("event_queue_packet_churn_4k", |b| {
+        b.iter_batched(
+            || {
+                let mut q = EventQueue::new();
+                for i in 0..32u64 {
+                    q.schedule(Time::from_ns(i * 3), [i; 13]);
+                }
+                q
+            },
+            |mut q| {
+                for i in 32..4096u64 {
+                    let (t, e) = q.pop().expect("seeded");
+                    black_box(e);
+                    q.schedule(t + Time::from_ns(i * 13 % 97), [i; 13]);
                 }
             },
             BatchSize::SmallInput,
@@ -265,6 +291,43 @@ fn bench_window_scheduler(c: &mut Criterion) {
     };
     g.bench_function("quiet_datacenter_256n_advance_2us", |b| {
         b.iter(|| black_box(&mut dc).run_for(Time::from_us(2)))
+    });
+    // The window barrier's merge: 8 source outboxes of 64 packet-sized
+    // messages each, walked in ascending source order and scheduled
+    // straight into the destination nodes' queues, which already hold a
+    // window's worth of pending events. Arrivals tie across sources.
+    g.bench_function("window_merge_8x64", |b| {
+        b.iter_batched(
+            || {
+                let mut router = ShardRouter::new(8);
+                for src in 0..8u64 {
+                    for j in 0..64u64 {
+                        let dst = (src + 1 + j % 7) % 8;
+                        let at = Time::from_ns(35 + j % 5);
+                        router.push(src as usize, dst as usize, at, [j; 13]);
+                    }
+                }
+                let queues: Vec<EventQueue<[u64; 13]>> = (0..8)
+                    .map(|n| {
+                        let mut q = EventQueue::new();
+                        for j in 0..64u64 {
+                            q.schedule(Time::from_ns(36 + (j + n) % 9), [j; 13]);
+                        }
+                        q
+                    })
+                    .collect();
+                (router, queues)
+            },
+            |(mut router, mut queues)| {
+                for outbox in router.outboxes_mut() {
+                    for (at, dst, msg) in outbox.drain() {
+                        queues[dst].schedule(at, msg);
+                    }
+                }
+                black_box(queues)
+            },
+            BatchSize::SmallInput,
+        )
     });
     g.finish();
 }

@@ -11,10 +11,10 @@
 //!
 //! [`ShardRouter`] is the deterministic cross-shard mailbox a partitioned
 //! event loop exchanges fabric traffic through: per-source outboxes,
-//! drained at synchronization barriers in a total order that depends only
-//! on `(arrival time, source, per-source sequence)` — never on how nodes
-//! are grouped into shards — so sharded simulation stays bit-identical to
-//! single-shard simulation.
+//! drained at synchronization barriers so that each destination receives
+//! its messages in an order that depends only on `(arrival time, source,
+//! per-source sequence)` — never on how nodes are grouped into shards —
+//! so sharded simulation stays bit-identical to single-shard simulation.
 
 use sabre_sim::{BandwidthServer, HopStats, Time};
 
@@ -528,7 +528,8 @@ struct Pending<M> {
 /// event loop hands to its shards: a shard pushes every cross-node message
 /// through the sending node's own outbox, so concurrent shards never share
 /// mailbox state. At the synchronization barrier the loop collects all
-/// outboxes back (see [`ShardRouter::merge_sorted`]).
+/// outboxes back and [drains](Outbox::drain) them in ascending source
+/// order (see [`ShardRouter`] for why that order suffices).
 #[derive(Debug)]
 pub struct Outbox<M> {
     src: usize,
@@ -563,30 +564,43 @@ impl<M> Outbox<M> {
     pub fn is_empty(&self) -> bool {
         self.pending.is_empty()
     }
+
+    /// Drains the queued messages as `(at, dst, msg)`, in push order,
+    /// keeping the buffer for the next window.
+    pub fn drain(&mut self) -> impl Iterator<Item = (Time, usize, M)> + '_ {
+        self.pending.drain(..).map(|p| (p.at, p.dst, p.msg))
+    }
 }
 
 /// Deterministic cross-shard message exchange for a partitioned event
 /// loop.
 ///
 /// Each source node pushes timestamped messages into its own [`Outbox`]
-/// while its shard advances; at every synchronization barrier the loop
-/// drains all outboxes with [`ShardRouter::drain_sorted`] (or, when the
-/// outboxes are lent out to shards, [`ShardRouter::merge_sorted`]), which
-/// yields messages in a total order determined *only* by `(arrival time,
-/// source node, per-source push order)`. Because neither the order shards
-/// were advanced in nor the grouping of nodes into shards appears in the
-/// key, delivering the drained messages in yielded order makes the
-/// simulation bit-identical for every shard count — the property the
-/// rack's torture tests pin down.
+/// while its shard advances. At every synchronization barrier each
+/// destination must receive its messages in an order determined *only*
+/// by `(arrival time, source node, per-source push order)`: neither the
+/// order shards were advanced in nor the grouping of nodes into shards
+/// may appear in it, which makes the simulation bit-identical for every
+/// shard count — the property the rack's torture tests pin down.
 ///
-/// Conservation: every pushed message is yielded by exactly one
-/// subsequent merge. When all drains go through
-/// [`ShardRouter::drain_sorted`], this is observable as
+/// There are two ways to get that order. [`ShardRouter::drain_sorted`]
+/// yields every message in one sorted total order. A loop whose
+/// destinations are FIFO-at-equal-time priority queues (such as
+/// [`sabre_sim::EventQueue`]) needs no sort: it [drains](Outbox::drain)
+/// the outboxes in ascending source order, each in push order, and
+/// schedules every message straight into its destination queue. The
+/// queue then orders by arrival time, and among equal arrival times by
+/// schedule order, which the walk made `(source, push order)` — the same
+/// pop sequence at every destination as delivering `drain_sorted`'s
+/// output. The rack's window barrier does the walk; the fabric property
+/// tests pin the equivalence down.
+///
+/// Conservation: every pushed message is drained exactly once. When all
+/// drains go through [`ShardRouter::drain_sorted`], this is observable as
 /// [`ShardRouter::pushed_total`] = [`ShardRouter::drained_total`] +
-/// [`ShardRouter::in_flight`]; drains performed directly over lent-out
-/// outboxes ([`ShardRouter::merge_sorted`] — how the cluster's window
-/// barrier runs) bypass the router's drained counter, so there
-/// `pushed_total - in_flight` counts the messages merged so far.
+/// [`ShardRouter::in_flight`]; drains of lent-out outboxes
+/// ([`Outbox::drain`]) bypass the router's drained counter, so there
+/// `pushed_total - in_flight` counts the messages delivered so far.
 #[derive(Debug)]
 pub struct ShardRouter<M> {
     outboxes: Vec<Outbox<M>>,
@@ -618,8 +632,8 @@ impl<M> ShardRouter<M> {
     }
 
     /// The per-source outboxes, for lending disjoint ranges to concurrent
-    /// shards. Drains performed directly on the slices (via
-    /// [`ShardRouter::merge_sorted`]) bypass the router's drained counter.
+    /// shards. Drains performed directly on the outboxes (via
+    /// [`Outbox::drain`]) bypass the router's drained counter.
     pub fn outboxes_mut(&mut self) -> &mut [Outbox<M>] {
         &mut self.outboxes
     }
@@ -644,30 +658,15 @@ impl<M> ShardRouter<M> {
     /// index, then by per-source push order. The caller inserts each
     /// message into `dst`'s event queue in yielded order.
     pub fn drain_sorted(&mut self) -> Vec<(Time, usize, M)> {
-        let drained = Self::merge_sorted(self.outboxes.iter_mut());
-        self.drained += drained.len() as u64;
-        drained
-    }
-
-    /// [`ShardRouter::drain_sorted`] over an arbitrary set of outboxes —
-    /// the barrier-time merge for a loop that lent its outboxes out to
-    /// shards. The order contract is identical: `(arrival time, source
-    /// node, per-source push order)`, independent of the iteration order
-    /// of `outboxes` (sources tag their messages).
-    pub fn merge_sorted<'a>(
-        outboxes: impl IntoIterator<Item = &'a mut Outbox<M>>,
-    ) -> Vec<(Time, usize, M)>
-    where
-        M: 'a,
-    {
         let mut tagged: Vec<(Time, usize, usize, usize, M)> = Vec::new();
-        for outbox in outboxes {
+        for outbox in &mut self.outboxes {
             let src = outbox.src;
-            for (idx, p) in outbox.pending.drain(..).enumerate() {
-                tagged.push((p.at, src, idx, p.dst, p.msg));
+            for (idx, (at, dst, msg)) in outbox.drain().enumerate() {
+                tagged.push((at, src, idx, dst, msg));
             }
         }
         tagged.sort_by_key(|t| (t.0, t.1, t.2));
+        self.drained += tagged.len() as u64;
         tagged
             .into_iter()
             .map(|(at, _, _, dst, m)| (at, dst, m))

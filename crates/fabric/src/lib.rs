@@ -16,8 +16,12 @@
 //! independent [`BandwidthServer`](sabre_sim::BandwidthServer) so that
 //! request and reply traffic do not contend.
 //!
-//! [`ShardRouter`] provides the deterministic cross-shard message merge a
-//! partitioned event loop synchronizes internode traffic through.
+//! [`ShardRouter`] provides the per-source outboxes a partitioned event
+//! loop synchronizes internode traffic through, and the merge-order
+//! contract that keeps sharding invisible: each destination receives its
+//! messages in `(arrival time, source, send order)`. A loop whose
+//! destination queues are FIFO at equal times gets that order without a
+//! sort, by draining the outboxes in ascending source order.
 
 pub mod internode;
 pub mod mesh;

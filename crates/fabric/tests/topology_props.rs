@@ -1,12 +1,13 @@
 //! Property tests of the rack-level topology and the deterministic
-//! cross-shard router: route symmetry, no self-delivery, and conservation
-//! of in-flight messages — the invariants the sharded event loop's
-//! bit-identity proof rests on.
+//! cross-shard router: route symmetry, no self-delivery, conservation of
+//! in-flight messages, and the equivalence of sorted and unsorted
+//! delivery into FIFO-at-equal-time queues — the invariants the sharded
+//! event loop's bit-identity proof rests on.
 
 use proptest::prelude::*;
 
 use sabre_fabric::{Fabric, FabricConfig, RackTopology, ShardRouter};
-use sabre_sim::Time;
+use sabre_sim::{EventQueue, Time};
 
 /// A topology strategy covering the paper pair, crossbars, meshes,
 /// (oversubscribed) fat trees and multi-rack datacenters from 2 to 12
@@ -229,6 +230,55 @@ proptest! {
         prop_assert_eq!(a.drained_total(), pushed);
         // A second drain yields nothing (no duplication).
         prop_assert!(b.drain_sorted().is_empty());
+    }
+
+    /// The rack's window barrier delivers without a sort: it walks the
+    /// outboxes in ascending source order, each in push order, and
+    /// schedules every message straight into its destination's
+    /// `EventQueue`. Because the queue pops by `(time, schedule order)`,
+    /// every destination must then see the same pop sequence as when
+    /// `drain_sorted`'s total order is delivered — with many arrivals
+    /// tied on time, into queues already holding events at those times.
+    #[test]
+    fn ascending_source_walk_matches_sorted_delivery(
+        msgs in proptest::collection::vec((0usize..6, 1usize..6, 0u64..4), 1..120),
+        held in proptest::collection::vec((0usize..6, 0u64..4), 0..24),
+    ) {
+        let nodes = 6;
+        let mut sorted: ShardRouter<usize> = ShardRouter::new(nodes);
+        let mut walked: ShardRouter<usize> = ShardRouter::new(nodes);
+        for (i, &(src, step, t)) in msgs.iter().enumerate() {
+            let dst = (src + step) % nodes;
+            sorted.push(src, dst, Time::from_ns(t), i);
+            walked.push(src, dst, Time::from_ns(t), i);
+        }
+        // Both sides start from the same already-pending events.
+        let queues = || {
+            let mut qs: Vec<EventQueue<usize>> = (0..nodes).map(|_| EventQueue::new()).collect();
+            for (i, &(dst, t)) in held.iter().enumerate() {
+                qs[dst].schedule(Time::from_ns(t), 1_000 + i);
+            }
+            qs
+        };
+        let mut by_sort = queues();
+        for (at, dst, m) in sorted.drain_sorted() {
+            by_sort[dst].schedule(at, m);
+        }
+        let mut by_walk = queues();
+        for outbox in walked.outboxes_mut() {
+            for (at, dst, m) in outbox.drain() {
+                by_walk[dst].schedule(at, m);
+            }
+        }
+        prop_assert_eq!(walked.in_flight(), 0);
+        let mut delivered = 0;
+        for (dst, (a, b)) in by_sort.iter_mut().zip(by_walk.iter_mut()).enumerate() {
+            let pops = |q: &mut EventQueue<usize>| std::iter::from_fn(|| q.pop()).collect::<Vec<_>>();
+            let (pa, pb) = (pops(a), pops(b));
+            prop_assert_eq!(&pa, &pb, "destination {} pops differ", dst);
+            delivered += pa.len();
+        }
+        prop_assert_eq!(delivered, msgs.len() + held.len());
     }
 }
 

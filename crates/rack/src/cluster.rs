@@ -27,7 +27,11 @@
 //! drains its nodes' queues up to the window end while outbound packets
 //! accumulate in per-source [`sabre_fabric::Outbox`]es, and at the window
 //! barrier all cross-node messages are merged into the destination queues
-//! in an order determined only by `(arrival time, source, send order)`.
+//! so that each node receives them in an order determined only by
+//! `(arrival time, source, send order)`. The merge needs no sort: it walks
+//! the outboxes in ascending source order, each in send order, and
+//! schedules every message straight into its destination queue, whose
+//! `(time, schedule order)` heap order then yields exactly that key.
 //! Because neither the shard grouping nor the intra-window advance order
 //! can influence any node's observable inputs, the simulation is
 //! **bit-identical for every shard count**.
@@ -63,6 +67,7 @@
 //! handler schedules onto the node it runs on; debug builds verify the
 //! drain left nothing behind).
 
+use std::borrow::BorrowMut;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
@@ -464,8 +469,7 @@ impl Cluster {
             for t in tasks.iter_mut() {
                 t.advance(window_end);
             }
-            let mut refs: Vec<&mut ShardExec<'_>> = tasks.iter_mut().collect();
-            Self::merge_deliver(&mut refs, per_shard, window_end);
+            Self::merge_deliver(tasks, per_shard, window_end);
         }
     }
 
@@ -586,40 +590,59 @@ impl Cluster {
     /// cross-node messages into destination queues in the deterministic
     /// merge order `(arrival time, source, per-source send order)`.
     ///
+    /// No sort is needed for that: outboxes are walked in ascending source
+    /// order (shards in order, each shard's sources in order), each in
+    /// send order, and every message is scheduled straight into its
+    /// destination queue. The queue pops by `(time, schedule order)`, so
+    /// equal-time arrivals at one node come out in `(source, send order)`
+    /// and after anything already pending there for that instant.
+    ///
     /// This is also where the [`FaultPlan`](crate::fault::FaultPlan) bites:
     /// a packet whose source node, destination node or link is down at the
     /// arrival instant is counted and discarded instead of scheduled. The
     /// decision is a pure function of the (static) plan and the packet's
     /// `(src, dst, arrival)` tuple, so injection cannot perturb the
     /// shard × thread bit-identity the merge order guarantees.
-    fn merge_deliver(tasks: &mut [&mut ShardExec<'_>], per_shard: usize, window_end: Time) {
-        let cfg = tasks[0].cfg;
+    fn merge_deliver<'a>(
+        tasks: &mut [impl BorrowMut<ShardExec<'a>>],
+        per_shard: usize,
+        window_end: Time,
+    ) {
+        let cfg = tasks[0].borrow().cfg;
         let faults = !cfg.fault.is_empty();
-        let merged =
-            ShardRouter::merge_sorted(tasks.iter_mut().flat_map(|t| t.outboxes.iter_mut()));
-        for (at, dst, ev) in merged {
-            debug_assert!(
-                at >= window_end,
-                "fabric message outran the lookahead window"
-            );
-            let ti = dst / per_shard;
-            let task = &mut *tasks[ti];
-            let local = dst - ti * per_shard;
-            if faults {
-                if let Event::PacketArrive(pkt) = &ev {
-                    if cfg
-                        .fault
-                        .drops_packet(pkt.src_node as usize, pkt.dst_node as usize, at)
-                    {
-                        task.nodes[local].dropped_packets += 1;
-                        continue;
+        for si in 0..tasks.len() {
+            // Lift the source shard's outboxes out so the walk can
+            // schedule into any shard's nodes, this one's included.
+            let outboxes = std::mem::take(&mut tasks[si].borrow_mut().outboxes);
+            for outbox in outboxes.iter_mut() {
+                for (at, dst, ev) in outbox.drain() {
+                    debug_assert!(
+                        at >= window_end,
+                        "fabric message outran the lookahead window"
+                    );
+                    let ti = dst / per_shard;
+                    let task = tasks[ti].borrow_mut();
+                    let local = dst - ti * per_shard;
+                    if faults {
+                        if let Event::PacketArrive(pkt) = &ev {
+                            if cfg.fault.drops_packet(
+                                pkt.src_node as usize,
+                                pkt.dst_node as usize,
+                                at,
+                            ) {
+                                task.nodes[local].dropped_packets += 1;
+                                continue;
+                            }
+                        }
                     }
+                    task.nodes[local].queue.schedule(at, ev);
+                    // Hint the destination shard so the O(active) window
+                    // loop will visit this node even if it was idle
+                    // before the delivery.
+                    task.active.push(Reverse((at, local)));
                 }
             }
-            task.nodes[local].queue.schedule(at, ev);
-            // Hint the destination shard so the O(active) window loop will
-            // visit this node even if it was idle before the delivery.
-            task.active.push(Reverse((at, local)));
+            tasks[si].borrow_mut().outboxes = outboxes;
         }
     }
 

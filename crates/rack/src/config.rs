@@ -5,7 +5,7 @@
 
 use sabre_core::LightSabresConfig;
 use sabre_fabric::{FabricConfig, RackTopology};
-use sabre_mem::MemTimingConfig;
+use sabre_mem::{MemTimingConfig, BLOCK_BYTES};
 use sabre_sim::{Freq, Time};
 use sabre_sw::CpuCostModel;
 
@@ -442,6 +442,16 @@ impl ClusterConfig {
         if self.shards == 0 {
             return Err("the event loop needs at least one shard".into());
         }
+        if self.memory_bytes == 0 {
+            return Err("node memory must be non-empty".into());
+        }
+        let llc_lines = self.llc_bytes / BLOCK_BYTES;
+        if self.llc_ways == 0 || llc_lines == 0 || !llc_lines.is_multiple_of(self.llc_ways) {
+            return Err(format!(
+                "an LLC of {} B does not divide into {}-way sets of {BLOCK_BYTES} B lines",
+                self.llc_bytes, self.llc_ways
+            ));
+        }
         self.fault.validate(self.nodes)?;
         self.lightsabres.validate()
     }
@@ -476,6 +486,30 @@ mod tests {
         assert!(cfg.validate().is_ok());
         cfg.shards = 0;
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_memory_geometries_that_cannot_be_built() {
+        let edited = |edit: fn(&mut ClusterConfig)| {
+            let mut cfg = ClusterConfig::default();
+            edit(&mut cfg);
+            cfg
+        };
+        let broken = [
+            ("memory_bytes = 0", edited(|c| c.memory_bytes = 0)),
+            ("llc_bytes = 0", edited(|c| c.llc_bytes = 0)),
+            ("llc_bytes = 100", edited(|c| c.llc_bytes = 100)),
+            ("llc_ways = 0", edited(|c| c.llc_ways = 0)),
+            ("llc_ways = 3", edited(|c| c.llc_ways = 3)),
+        ];
+        for (what, cfg) in broken {
+            assert!(cfg.validate().is_err(), "{what} validated");
+        }
+        assert!(ClusterConfig::default().validate().is_ok());
+        for nodes in 2..=256 {
+            let cfg = ClusterConfig::with_nodes(nodes);
+            assert!(cfg.validate().is_ok(), "with_nodes({nodes}) rejected");
+        }
     }
 
     #[test]

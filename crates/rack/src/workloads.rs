@@ -4,10 +4,10 @@
 //! one-sided soNUMA operations in a tight loop").
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use sabre_mem::{Addr, BLOCK_BYTES};
-use sabre_sim::{SimRng, Time, Zipf};
+use sabre_sim::{IntMap, IntSet, SimRng, Time, Zipf};
 use sabre_sonuma::CqEntry;
 use sabre_sw::cost::DataSource;
 use sabre_sw::layout::{CleanLayout, PerClLayout};
@@ -171,7 +171,7 @@ pub struct SyncReader {
     wire_override: Option<u32>,
     /// Outstanding Oh-RAM confirm writes (fire-and-forget; completions are
     /// matched by `wq_id` and discarded).
-    confirm_inflight: HashSet<u64>,
+    confirm_inflight: IntSet<u64>,
     cur_obj: usize,
     t0: Time,
     state: ReaderState,
@@ -204,7 +204,7 @@ impl SyncReader {
             consume,
             backoff,
             wire_override,
-            confirm_inflight: HashSet::new(),
+            confirm_inflight: IntSet::default(),
             cur_obj: 0,
             t0: Time::ZERO,
             state: ReaderState::Idle,
@@ -423,7 +423,7 @@ pub struct AsyncReader {
     mech: ReadMechanism,
     window: usize,
     /// wq_id → (issue time, slot).
-    inflight: std::collections::HashMap<u64, (Time, usize)>,
+    inflight: IntMap<u64, (Time, usize)>,
     buf_base: Option<Addr>,
 }
 
@@ -465,7 +465,7 @@ impl AsyncReader {
             payload,
             mech,
             window,
-            inflight: std::collections::HashMap::new(),
+            inflight: IntMap::default(),
             buf_base: None,
         }
     }
@@ -1347,7 +1347,7 @@ pub struct TrafficReader {
     wire_override: Option<u32>,
     /// Outstanding Oh-RAM confirm writes (fire-and-forget; completions are
     /// matched by `wq_id` and discarded).
-    confirm_inflight: HashSet<u64>,
+    confirm_inflight: IntSet<u64>,
     // Runtime state, inert until `on_start`.
     choice_rng: Option<SimRng>,
     arrival_rng: Option<SimRng>,
@@ -1434,7 +1434,7 @@ impl TrafficReader {
             consume,
             backoff,
             wire_override,
-            confirm_inflight: HashSet::new(),
+            confirm_inflight: IntSet::default(),
             choice_rng: None,
             arrival_rng: None,
             zipf: None,

@@ -8,6 +8,9 @@
 //!   priority queue of timestamped events, generic over the event
 //!   payload. It is the simulator's only event queue: every rack node
 //!   drains its own, one lookahead window at a time.
+//! * [`IntMap`] / [`IntSet`] — hash maps and sets under one fixed integer
+//!   hasher ([`IntHasher`]), for the per-packet bookkeeping maps keyed by
+//!   simulator-issued ids.
 //! * [`server`] — analytic queued servers used to model bandwidth-limited
 //!   resources (memory channels, fabric links, pipelines).
 //! * [`stats`] — counters, mean/max trackers, log-bucketed histograms and
@@ -29,12 +32,14 @@
 //! assert_eq!((t, ev), (Time::from_ns(1), "early"));
 //! ```
 
+pub mod hash;
 pub mod queue;
 pub mod rng;
 pub mod server;
 pub mod stats;
 pub mod time;
 
+pub use hash::{IntHasher, IntMap, IntSet};
 pub use queue::EventQueue;
 pub use rng::{SimRng, Zipf};
 pub use server::{BandwidthServer, FifoServer};

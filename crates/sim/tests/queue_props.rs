@@ -3,6 +3,12 @@
 //! yield the pending event with the smallest `(time, schedule order)` —
 //! ascending time, FIFO among events scheduled for the same instant. The
 //! deterministic event loop relies on exactly this order.
+//!
+//! The queue also owns its payloads: every scheduled payload is dropped
+//! exactly once, whether it is popped or dropped with the queue.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
@@ -67,6 +73,18 @@ fn run_script(ops: &[(bool, u64)], at: impl Fn(u64, Time) -> Time) -> Vec<(Time,
     out
 }
 
+/// A payload that records its own drop in a shared per-id tally.
+struct Tracked {
+    id: usize,
+    drops: Rc<RefCell<Vec<u32>>>,
+}
+
+impl Drop for Tracked {
+    fn drop(&mut self) {
+        self.drops.borrow_mut()[self.id] += 1;
+    }
+}
+
 proptest! {
     #[test]
     fn fifo_at_equal_timestamps(
@@ -109,5 +127,33 @@ proptest! {
         // No discipline at all: times may fall before instants already
         // popped, and the queue must still hand out its current minimum.
         run_script(&script, |v, _| Time::from_ns(v));
+    }
+
+    #[test]
+    fn every_payload_is_dropped_exactly_once(
+        script in proptest::collection::vec((any::<bool>(), 0u64..64), 1..400),
+    ) {
+        // Popped payloads are dropped by the caller, the rest with the
+        // queue; either way exactly once, and never while still pending.
+        // Every live payload holds one count of the shared tally's `Rc`.
+        let schedules = script.iter().filter(|&&(is_pop, _)| !is_pop).count();
+        let drops = Rc::new(RefCell::new(vec![0u32; schedules]));
+        let mut q = EventQueue::new();
+        let mut id = 0;
+        for &(is_pop, v) in &script {
+            if is_pop {
+                if let Some((_, payload)) = q.pop() {
+                    let payload: Tracked = payload;
+                    prop_assert_eq!(drops.borrow()[payload.id], 0);
+                }
+            } else {
+                q.schedule(Time::from_ns(v), Tracked { id, drops: Rc::clone(&drops) });
+                id += 1;
+            }
+            prop_assert_eq!(Rc::strong_count(&drops) - 1, q.len());
+        }
+        drop(q);
+        prop_assert_eq!(Rc::strong_count(&drops), 1);
+        prop_assert!(drops.borrow().iter().all(|&n| n == 1), "a payload was not dropped exactly once");
     }
 }

@@ -8,12 +8,13 @@
 //! one at a time through [`R2p2::next_issue`] at the pipeline's issue
 //! bandwidth and performs them against the node's memory system.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use sabre_core::{
     Action, IssueKind, LightSabres, LightSabresConfig, RegisterError, SabreError, SabreId, SlotId,
 };
 use sabre_mem::{Addr, BlockAddr, BlockRange};
+use sabre_sim::IntMap;
 use sabre_sw::{CaptureKind, CaptureStep, ObjectCapture};
 
 use crate::wire::{Block, NodeId, Packet, PacketKind, PipeId};
@@ -225,15 +226,16 @@ pub struct R2p2 {
     pipe: PipeId,
     engine: LightSabres,
     next_token: u64,
-    pending: HashMap<u64, Pending>,
+    pending: IntMap<u64, Pending>,
     /// Plain-service work awaiting an issue slot (FIFO).
     ready: VecDeque<R2p2Action>,
     /// SABRes waiting for a free ATT entry (in arrival order).
     parked: VecDeque<ParkedSabre>,
     /// Live object captures (WfRegister / Oh-RAM), keyed by capture id.
-    captures: HashMap<u64, CaptureCtx>,
+    captures: IntMap<u64, CaptureCtx>,
     next_capture: u64,
-    routes: HashMap<u8, Route>,
+    /// Where each occupied ATT slot's replies go, indexed by slot.
+    routes: Vec<Option<Route>>,
     stats: R2p2Stats,
     /// Discard (rather than panic on) data requests whose registration is
     /// neither live nor parked. Off by default: in a fault-free rack such
@@ -258,14 +260,14 @@ impl R2p2 {
         R2p2 {
             node,
             pipe,
+            routes: vec![None; cfg.stream_buffers],
             engine: LightSabres::new(cfg),
             next_token: 0,
-            pending: HashMap::new(),
+            pending: IntMap::default(),
             ready: VecDeque::new(),
             parked: VecDeque::new(),
-            captures: HashMap::new(),
+            captures: IntMap::default(),
             next_capture: 0,
-            routes: HashMap::new(),
             stats: R2p2Stats::default(),
             tolerate_stale: false,
             catching_up: 0,
@@ -591,14 +593,11 @@ impl R2p2 {
         match self.engine.register(id, base, size_bytes, version_offset) {
             Ok(slot) => {
                 self.stats.sabres_registered += 1;
-                self.routes.insert(
-                    slot.0,
-                    Route {
-                        node: id.src_node,
-                        pipe: id.src_pipe,
-                        transfer: id.transfer,
-                    },
-                );
+                self.routes[usize::from(slot.0)] = Some(Route {
+                    node: id.src_node,
+                    pipe: id.src_pipe,
+                    transfer: id.transfer,
+                });
             }
             Err(RegisterError::Full) => {
                 self.stats.sabres_parked += 1;
@@ -726,7 +725,7 @@ impl R2p2 {
                 },
             })],
             Pending::SabreData { slot, block_index } => {
-                let route = self.routes[&slot.0];
+                let route = self.routes[usize::from(slot.0)].expect("routed slot");
                 let mut out = vec![R2p2Action::Send(Packet {
                     src_node: self.node,
                     src_pipe: self.pipe,
@@ -891,9 +890,8 @@ impl R2p2 {
     fn extend_with_completions(&mut self, out: &mut Vec<R2p2Action>, actions: Vec<Action>) {
         for action in actions {
             let Action::Complete { slot, id, atomic } = action;
-            let route = self
-                .routes
-                .remove(&slot.0)
+            let route = self.routes[usize::from(slot.0)]
+                .take()
                 .unwrap_or_else(|| panic!("completion for routeless slot of {id}"));
             out.push(R2p2Action::Send(Packet {
                 src_node: self.node,
