@@ -72,6 +72,19 @@ fn bench_engine(c: &mut Criterion) {
         }
         b.iter(|| engine.on_invalidation(black_box(BlockAddr::from_index(17))))
     });
+    // The rack_tail hot path: every pump asks an engine with no live
+    // SABRe for work, and every store snoops it. Both must return at once
+    // instead of walking all 16 ATT slots; 64 rounds per iteration keep a
+    // return of the walk well clear of the gate's fixed floor.
+    g.bench_function("idle_engine_issue_and_snoop", |b| {
+        let mut engine = LightSabres::new(LightSabresConfig::default());
+        b.iter(|| {
+            for i in 0..64u64 {
+                black_box(engine.next_issue());
+                engine.on_invalidation(black_box(BlockAddr::from_index(i)));
+            }
+        })
+    });
     g.finish();
 }
 
@@ -164,6 +177,42 @@ fn bench_sim_primitives(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // The FabricSend / Pump pattern of a busy node: popping a timed
+    // event (a memory completion, say) schedules a reply send and a pump
+    // re-arm at the popped instant plus the next timed event ahead; the
+    // pump schedules one more send at its instant; a send schedules
+    // nothing. Same 104 B payloads and 32 timed events pending as above.
+    // The zero-delay follow-ups take the queue's same-instant lane,
+    // three per timed event; through the heap each would cost a full
+    // push and pop.
+    g.bench_function("event_queue_same_instant_churn_4k", |b| {
+        b.iter_batched(
+            || {
+                let mut q = EventQueue::new();
+                for i in 0..32u64 {
+                    q.schedule(Time::from_ns(i * 3), [3 * i; 13]);
+                }
+                q
+            },
+            |mut q| {
+                // Tag mod 3: 0 a timed event, 1 a pump, 2 a send.
+                for i in 32..4096u64 {
+                    let (t, e) = q.pop().expect("seeded");
+                    match e[0] % 3 {
+                        0 => {
+                            q.schedule(t, [3 * i + 2; 13]);
+                            q.schedule(t, [3 * i + 1; 13]);
+                            q.schedule(t + Time::from_ns(i * 13 % 97), [3 * i; 13]);
+                        }
+                        1 => q.schedule(t, [3 * i + 2; 13]),
+                        _ => {}
+                    }
+                    black_box(e);
+                }
+            },
+            BatchSize::SmallInput,
+        )
+    });
     // The latency-histogram hot path: one record per successful op in
     // every workload, and one full 592-bucket merge per core at
     // aggregation time (the fig_tail percentile plumbing).
@@ -201,6 +250,12 @@ fn bench_sim_primitives(c: &mut Criterion) {
     });
     g.bench_function("llc_access", |b| {
         let mut llc = Llc::with_geometry(2 * 1024 * 1024, 16);
+        // Fill every set twice over first: the tag arrays are lazily
+        // zeroed pages, and timing their first-touch page faults instead
+        // of lookups made this row noisy.
+        for i in 0..2 * 32768u64 {
+            let _ = llc.access(BlockAddr::from_index(i));
+        }
         let mut i = 0u64;
         b.iter(|| {
             i = (i + 997) % 100_000;

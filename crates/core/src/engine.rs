@@ -203,6 +203,8 @@ pub struct LightSabres {
     entries: Vec<Option<AttEntry>>,
     buffers: Vec<StreamBuffer>,
     by_id: IntMap<SabreId, SlotId>,
+    /// Number of occupied `entries`, kept by `register` and `free_slot`.
+    live: usize,
     /// Round-robin cursor of the "select transfer" stage.
     cursor: usize,
     stats: EngineStats,
@@ -225,6 +227,7 @@ impl LightSabres {
                 .map(|_| StreamBuffer::new(cfg.depth))
                 .collect(),
             by_id: IntMap::default(),
+            live: 0,
             cursor: 0,
             cfg,
             stats: EngineStats::default(),
@@ -250,12 +253,12 @@ impl LightSabres {
 
     /// Number of currently occupied ATT entries.
     pub fn active_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.live
     }
 
     /// Whether every ATT entry is busy (new registrations would fail).
     pub fn is_full(&self) -> bool {
-        self.entries.iter().all(|e| e.is_some())
+        self.live == self.entries.len()
     }
 
     /// Read-only view of a slot's ATT entry (tests and tracing).
@@ -296,6 +299,7 @@ impl LightSabres {
         let entry = AttEntry::new(id, base, size_bytes, version_offset);
         self.buffers[free].arm(entry.base_block(), entry.size_blocks);
         self.entries[free] = Some(entry);
+        self.live += 1;
         let slot = SlotId(free as u8);
         self.by_id.insert(id, slot);
         self.stats.registered += 1;
@@ -326,12 +330,14 @@ impl LightSabres {
     /// Fig. 4). The caller performs the access and feeds the reply back via
     /// the matching `on_*` method.
     pub fn next_issue(&mut self) -> Option<BlockIssue> {
+        if self.live == 0 {
+            return None;
+        }
         let n = self.entries.len();
-        for step in 0..n {
-            let idx = (self.cursor + step) % n;
+        for idx in (self.cursor..n).chain(0..self.cursor) {
             if let Some(issue) = self.try_issue_slot(idx) {
                 // Advance past the serviced slot for fairness.
-                self.cursor = (idx + 1) % n;
+                self.cursor = if idx + 1 == n { 0 } else { idx + 1 };
                 return Some(issue);
             }
         }
@@ -535,6 +541,9 @@ impl LightSabres {
     /// always driven by a reply), so this returns no actions; it only flips
     /// abort/revalidate state.
     pub fn on_invalidation(&mut self, block: BlockAddr) {
+        if self.live == 0 {
+            return;
+        }
         for idx in 0..self.entries.len() {
             let Some(entry) = self.entries[idx].as_mut() else {
                 continue;
@@ -654,6 +663,7 @@ impl LightSabres {
     fn free_slot(&mut self, idx: usize) {
         if let Some(entry) = self.entries[idx].take() {
             self.by_id.remove(&entry.id);
+            self.live -= 1;
         }
         self.buffers[idx].release();
     }

@@ -46,9 +46,11 @@
 //! barrier where the single coordinator runs the deterministic merge,
 //! and the result stays bit-identical at **every thread count** too —
 //! the torture and equivalence tests pin `threads ∈ {1, 2, shards}`
-//! down. Each node's queue is a plain [`EventQueue`] binary heap: a
-//! window drains it by popping events up to the window end, in
-//! `(time, schedule order)` order.
+//! down. Each node's queue is a plain [`EventQueue`]: a window drains it
+//! by popping events up to the window end, in `(time, schedule order)`
+//! order. The many zero-delay follow-ups a handler schedules for the
+//! current instant (fabric sends, pump re-arms, RPC hand-offs) go to the
+//! queue's same-instant FIFO lane instead of its heap.
 //!
 //! # O(active) window scheduling
 //!
@@ -56,16 +58,19 @@
 //! to a handful of stores), so scanning every node's queue per window —
 //! once to find the next event, once to drain — would make window cost
 //! O(nodes) regardless of activity. Instead each shard keeps a min-heap
-//! of **lazily validated hints** `(time, node)`: one is pushed whenever
-//! an event lands in a node's queue from outside its own drain (the
-//! initial seed, the window merge), and each drained node re-hints its
-//! next pending event. A popped hint whose node's queue head has moved
-//! (the event was already consumed) is discarded or refreshed — so both
-//! the next-event probe and the window drain touch only nodes that
-//! actually have pending events, and hint-processing order cannot leak
-//! into results because nodes are independent within a window (every
-//! handler schedules onto the node it runs on; debug builds verify the
-//! drain left nothing behind).
+//! of **lazily validated hints** `(time, node)`, kept so that every
+//! node's queue head is covered by a hint at or before it. The initial
+//! seed hints every non-empty queue; each drained node re-hints its next
+//! pending event; and the window merge pushes a hint only when a delivery
+//! becomes its node's new queue head (it lands before the old head, or
+//! the queue was empty) — a delivery at or after the head leaves that
+//! head and its hint in place. A popped hint whose node's queue head
+//! has moved (the event was already consumed) is discarded or
+//! refreshed — so both the next-event probe and the window drain touch
+//! only nodes that actually have pending events, and hint-processing
+//! order cannot leak into results because nodes are independent within a
+//! window (every handler schedules onto the node it runs on; debug builds
+//! verify the drain left nothing behind).
 
 use std::borrow::BorrowMut;
 use std::cmp::Reverse;
@@ -168,6 +173,8 @@ struct NodeCtx {
     pump_on: Vec<bool>,
     pipelines: Vec<SourcePipeline>,
     rgp_unroll: Vec<FifoServer>,
+    /// Reused buffer the R2P2 completion paths append their replies to.
+    replies: Vec<R2p2Action>,
     /// This node's own event queue.
     queue: EventQueue<Event>,
     /// Monotonicity watermark of the node's local event time; during
@@ -228,6 +235,7 @@ impl Cluster {
                     .map(|p| SourcePipeline::new(n as u8, p as u8, cfg.rmc_backends as u8))
                     .collect(),
                 rgp_unroll: vec![FifoServer::new(); cfg.rmc_backends],
+                replies: Vec::new(),
                 queue: EventQueue::new(),
                 now: Time::ZERO,
                 workloads: (0..cfg.cores_per_node).map(|_| None).collect(),
@@ -597,6 +605,11 @@ impl Cluster {
     /// equal-time arrivals at one node come out in `(source, send order)`
     /// and after anything already pending there for that instant.
     ///
+    /// A delivery pushes a scheduling hint only when it becomes the
+    /// destination's new queue head — it lands before the current head,
+    /// or the queue was empty. One at or after the head changes neither
+    /// the head nor the hint that already covers it.
+    ///
     /// This is also where the [`FaultPlan`](crate::fault::FaultPlan) bites:
     /// a packet whose source node, destination node or link is down at the
     /// arrival instant is counted and discarded instead of scheduled. The
@@ -635,11 +648,16 @@ impl Cluster {
                             }
                         }
                     }
-                    task.nodes[local].queue.schedule(at, ev);
-                    // Hint the destination shard so the O(active) window
-                    // loop will visit this node even if it was idle
-                    // before the delivery.
-                    task.active.push(Reverse((at, local)));
+                    let queue = &mut task.nodes[local].queue;
+                    // Hint the destination shard only when the delivery
+                    // becomes the node's new queue head: an idle node gets
+                    // visited, and a head already covered by a hint at or
+                    // before it stays covered.
+                    let new_head = queue.peek_time().is_none_or(|head| at < head);
+                    queue.schedule(at, ev);
+                    if new_head {
+                        task.active.push(Reverse((at, local)));
+                    }
                 }
             }
             tasks[si].borrow_mut().outboxes = outboxes;
@@ -666,9 +684,11 @@ struct ShardExec<'a> {
     outboxes: &'a mut [Outbox<Event>],
     /// Lazily validated `(time, local node)` hints for nodes with pending
     /// events — what makes window scheduling O(active nodes) instead of
-    /// O(nodes) (see the [module docs](self)). A node may carry several
-    /// hints (the merge pushes one per delivered message); stale ones are
-    /// discarded or refreshed against the queue head when popped.
+    /// O(nodes) (see the [module docs](self)). Every queue head is covered
+    /// by a hint at or before it. A node may carry several hints (a drain
+    /// re-hints its new head while an older, earlier one is still queued);
+    /// stale ones are discarded or refreshed against the queue head when
+    /// popped.
     active: &'a mut BinaryHeap<Reverse<(Time, usize)>>,
 }
 
@@ -802,10 +822,8 @@ impl<'a> ShardExec<'a> {
                 token,
                 block,
             } => {
-                let n = self.node_mut(node as usize);
-                let data = Block(n.memory.read_block(block));
-                let actions = n.r2p2s[pipe as usize].on_mem_reply(token, data);
-                self.run_r2p2_actions(node, pipe, actions);
+                let data = Block(self.node_ref(node as usize).memory.read_block(block));
+                self.complete_r2p2(node, pipe, |r, out| r.on_mem_reply(token, data, out));
                 self.schedule_pump(node, pipe);
             }
             Event::WriteDone {
@@ -816,9 +834,7 @@ impl<'a> ShardExec<'a> {
                 data,
             } => {
                 self.apply_store(node as usize, block, &data.0);
-                let actions =
-                    self.node_mut(node as usize).r2p2s[pipe as usize].on_mem_write_done(token);
-                self.run_r2p2_actions(node, pipe, actions);
+                self.complete_r2p2(node, pipe, |r, out| r.on_mem_write_done(token, out));
                 self.schedule_pump(node, pipe);
             }
             Event::LockDone {
@@ -835,12 +851,12 @@ impl<'a> ShardExec<'a> {
                 // it just modified, so its own stream buffer must not treat
                 // the acquisition as a foreign write (other R2P2s' SABRes
                 // on the object still see it — real reader-reader
-                // interference).
-                let actions = self.node_mut(n).r2p2s[pipe as usize].on_lock_reply(token, acquired);
+                // interference). The fan-out schedules nothing, so sending
+                // the replies first leaves the event order unchanged.
+                self.complete_r2p2(node, pipe, |r, out| r.on_lock_reply(token, acquired, out));
                 if acquired {
                     self.broadcast_inval(n, version_addr.block());
                 }
-                self.run_r2p2_actions(node, pipe, actions);
                 self.schedule_pump(node, pipe);
             }
             Event::ReleaseDone { node, version_addr } => {
@@ -861,8 +877,7 @@ impl<'a> ShardExec<'a> {
                     v.locked().store(&mut self.node_mut(n).memory, version_addr);
                     self.broadcast_inval(n, version_addr.block());
                 }
-                let actions = self.node_mut(n).r2p2s[pipe as usize].on_cas_done(token, acquired);
-                self.run_r2p2_actions(node, pipe, actions);
+                self.complete_r2p2(node, pipe, |r, out| r.on_cas_done(token, acquired, out));
                 self.schedule_pump(node, pipe);
             }
             Event::UnlockDone {
@@ -876,8 +891,7 @@ impl<'a> ShardExec<'a> {
                 v.unlocked()
                     .store(&mut self.node_mut(n).memory, version_addr);
                 self.broadcast_inval(n, version_addr.block());
-                let actions = self.node_mut(n).r2p2s[pipe as usize].on_unlock_done(token);
-                self.run_r2p2_actions(node, pipe, actions);
+                self.complete_r2p2(node, pipe, |r, out| r.on_unlock_done(token, out));
                 self.schedule_pump(node, pipe);
             }
             Event::Wake { node, core } => {
@@ -1110,11 +1124,21 @@ impl<'a> ShardExec<'a> {
         }
     }
 
-    fn run_r2p2_actions(&mut self, node: u8, pipe: u8, actions: Vec<R2p2Action>) {
-        for action in actions {
+    /// Runs one R2P2 completion path `f` against the node's reused reply
+    /// buffer and puts every packet it produced on the fabric, in order.
+    fn complete_r2p2(
+        &mut self,
+        node: u8,
+        pipe: u8,
+        f: impl FnOnce(&mut R2p2, &mut Vec<R2p2Action>),
+    ) {
+        let ctx = self.node_mut(node as usize);
+        let mut out = std::mem::take(&mut ctx.replies);
+        f(&mut ctx.r2p2s[pipe as usize], &mut out);
+        let now = ctx.now;
+        for action in out.drain(..) {
             match action {
                 R2p2Action::Send(pkt) => {
-                    let now = self.node_ref(node as usize).now;
                     self.schedule_at(node as usize, now, Event::FabricSend(pkt));
                 }
                 other => {
@@ -1124,6 +1148,7 @@ impl<'a> ShardExec<'a> {
                 }
             }
         }
+        self.node_mut(node as usize).replies = out;
     }
 
     /// Touches `block` in the node's LLC, broadcasting the eviction

@@ -4,10 +4,13 @@
 //!
 //! * [`Time`] — virtual time in integer picoseconds, with frequency-aware
 //!   cycle conversions ([`Freq`]).
-//! * [`EventQueue`] — a stable (FIFO-within-same-timestamp) binary-heap
-//!   priority queue of timestamped events, generic over the event
-//!   payload. It is the simulator's only event queue: every rack node
-//!   drains its own, one lookahead window at a time.
+//! * [`EventQueue`] — a stable (FIFO-within-same-timestamp) priority
+//!   queue of timestamped events, generic over the event payload: a
+//!   binary heap, plus a FIFO lane for events scheduled at exactly the
+//!   last popped instant, which skip the heap without changing the
+//!   `(time, schedule order)` contract. It is the simulator's only event
+//!   queue: every rack node drains its own, one lookahead window at a
+//!   time.
 //! * [`IntMap`] / [`IntSet`] — hash maps and sets under one fixed integer
 //!   hasher ([`IntHasher`]), for the per-packet bookkeeping maps keyed by
 //!   simulator-issued ids.

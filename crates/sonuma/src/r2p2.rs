@@ -681,12 +681,14 @@ impl R2p2 {
         })
     }
 
-    /// Completes a memory read issued earlier.
+    /// Completes a memory read issued earlier, appending the replies it
+    /// produces to `out` (a buffer the caller owns and reuses, so a reply
+    /// costs no allocation).
     ///
     /// # Panics
     ///
     /// Panics on unknown tokens (wiring bug).
-    pub fn on_mem_reply(&mut self, token: MemToken, data: Block) -> Vec<R2p2Action> {
+    pub fn on_mem_reply(&mut self, token: MemToken, data: Block, out: &mut Vec<R2p2Action>) {
         let pending = self
             .pending
             .remove(&token.0)
@@ -697,55 +699,46 @@ impl R2p2 {
                 reply_pipe,
                 transfer,
                 block_index,
-            } => vec![R2p2Action::Send(Packet {
-                src_node: self.node,
-                src_pipe: self.pipe,
-                dst_node: reply_node,
-                dst_pipe: reply_pipe,
-                kind: PacketKind::ReadReply {
+            } => out.push(self.send_to(
+                reply_node,
+                reply_pipe,
+                PacketKind::ReadReply {
                     transfer,
                     block_index,
                     data,
                 },
-            })],
+            )),
             Pending::CatchUpRead {
                 reply_node,
                 reply_pipe,
                 transfer,
                 block_index,
-            } => vec![R2p2Action::Send(Packet {
-                src_node: self.node,
-                src_pipe: self.pipe,
-                dst_node: reply_node,
-                dst_pipe: reply_pipe,
-                kind: PacketKind::CatchUpReply {
+            } => out.push(self.send_to(
+                reply_node,
+                reply_pipe,
+                PacketKind::CatchUpReply {
                     transfer,
                     block_index,
                     data,
                 },
-            })],
+            )),
             Pending::SabreData { slot, block_index } => {
                 let route = self.routes[usize::from(slot.0)].expect("routed slot");
-                let mut out = vec![R2p2Action::Send(Packet {
-                    src_node: self.node,
-                    src_pipe: self.pipe,
-                    dst_node: route.node,
-                    dst_pipe: route.pipe,
-                    kind: PacketKind::SabreReply {
+                out.push(self.send_to(
+                    route.node,
+                    route.pipe,
+                    PacketKind::SabreReply {
                         transfer: route.transfer,
                         block_index,
                         data,
                     },
-                })];
+                ));
                 let actions = self.engine.on_block_reply(slot, block_index, &data.0);
-                self.extend_with_completions(&mut out, actions);
-                out
+                self.extend_with_completions(out, actions);
             }
             Pending::SabreValidate { slot } => {
-                let mut out = Vec::new();
                 let actions = self.engine.on_validate_reply(slot, &data.0);
-                self.extend_with_completions(&mut out, actions);
-                out
+                self.extend_with_completions(out, actions);
             }
             Pending::CaptureRead { capture, block } => {
                 let ctx = self
@@ -758,28 +751,22 @@ impl R2p2 {
                         // rescheduled by the caller after every reply, so
                         // queueing suffices.
                         self.queue_capture_step(capture, CaptureStep::Read(blocks));
-                        vec![]
                     }
                     CaptureStep::Deliver(image) => {
                         let ctx = self.captures.remove(&capture).expect("live capture");
                         self.stats.capture_restarts += ctx.capture.restarts();
-                        image
-                            .into_iter()
-                            .enumerate()
-                            .map(|(i, b)| {
-                                R2p2Action::Send(Packet {
-                                    src_node: self.node,
-                                    src_pipe: self.pipe,
-                                    dst_node: ctx.route.node,
-                                    dst_pipe: ctx.route.pipe,
-                                    kind: PacketKind::ReadReply {
-                                        transfer: ctx.route.transfer,
-                                        block_index: i as u32,
-                                        data: Block(b),
-                                    },
-                                })
-                            })
-                            .collect()
+                        let route = ctx.route;
+                        out.extend(image.into_iter().enumerate().map(|(i, b)| {
+                            self.send_to(
+                                route.node,
+                                route.pipe,
+                                PacketKind::ReadReply {
+                                    transfer: route.transfer,
+                                    block_index: i as u32,
+                                    data: Block(b),
+                                },
+                            )
+                        }));
                     }
                 }
             }
@@ -791,88 +778,79 @@ impl R2p2 {
         }
     }
 
-    /// Completes a remote write-lock CAS.
+    /// Completes a remote write-lock CAS, appending its reply to `out`.
     ///
     /// # Panics
     ///
     /// Panics on unknown tokens.
-    pub fn on_cas_done(&mut self, token: MemToken, acquired: bool) -> Vec<R2p2Action> {
+    pub fn on_cas_done(&mut self, token: MemToken, acquired: bool, out: &mut Vec<R2p2Action>) {
         match self.pending.remove(&token.0) {
             Some(Pending::CasApply {
                 reply_node,
                 reply_pipe,
                 transfer,
-            }) => vec![R2p2Action::Send(Packet {
-                src_node: self.node,
-                src_pipe: self.pipe,
-                dst_node: reply_node,
-                dst_pipe: reply_pipe,
-                kind: PacketKind::CasReply { transfer, acquired },
-            })],
+            }) => out.push(self.send_to(
+                reply_node,
+                reply_pipe,
+                PacketKind::CasReply { transfer, acquired },
+            )),
             other => panic!("CAS completion for non-CAS token: {other:?}"),
         }
     }
 
-    /// Completes a remote unlock.
+    /// Completes a remote unlock, appending its acknowledgement to `out`.
     ///
     /// # Panics
     ///
     /// Panics on unknown tokens.
-    pub fn on_unlock_done(&mut self, token: MemToken) -> Vec<R2p2Action> {
+    pub fn on_unlock_done(&mut self, token: MemToken, out: &mut Vec<R2p2Action>) {
         match self.pending.remove(&token.0) {
             Some(Pending::UnlockApply {
                 reply_node,
                 reply_pipe,
                 transfer,
-            }) => vec![R2p2Action::Send(Packet {
-                src_node: self.node,
-                src_pipe: self.pipe,
-                dst_node: reply_node,
-                dst_pipe: reply_pipe,
-                kind: PacketKind::UnlockAck { transfer },
-            })],
+            }) => {
+                out.push(self.send_to(reply_node, reply_pipe, PacketKind::UnlockAck { transfer }))
+            }
             other => panic!("unlock completion for non-unlock token: {other:?}"),
         }
     }
 
-    /// Completes a one-sided write.
+    /// Completes a one-sided write, appending its acknowledgement to `out`.
     ///
     /// # Panics
     ///
     /// Panics on unknown tokens.
-    pub fn on_mem_write_done(&mut self, token: MemToken) -> Vec<R2p2Action> {
+    pub fn on_mem_write_done(&mut self, token: MemToken, out: &mut Vec<R2p2Action>) {
         match self.pending.remove(&token.0) {
             Some(Pending::WriteApply {
                 reply_node,
                 reply_pipe,
                 transfer,
                 block_index,
-            }) => vec![R2p2Action::Send(Packet {
-                src_node: self.node,
-                src_pipe: self.pipe,
-                dst_node: reply_node,
-                dst_pipe: reply_pipe,
-                kind: PacketKind::WriteAck {
+            }) => out.push(self.send_to(
+                reply_node,
+                reply_pipe,
+                PacketKind::WriteAck {
                     transfer,
                     block_index,
                 },
-            })],
+            )),
             other => panic!("write completion for non-write token: {other:?}"),
         }
     }
 
-    /// Completes a reader-lock acquire RMW.
+    /// Completes a reader-lock acquire RMW, appending any SABRe completion
+    /// it triggers to `out`.
     ///
     /// # Panics
     ///
     /// Panics on unknown tokens.
-    pub fn on_lock_reply(&mut self, token: MemToken, acquired: bool) -> Vec<R2p2Action> {
+    pub fn on_lock_reply(&mut self, token: MemToken, acquired: bool, out: &mut Vec<R2p2Action>) {
         match self.pending.remove(&token.0) {
             Some(Pending::SabreLock { slot }) => {
-                let mut out = Vec::new();
                 let actions = self.engine.on_lock_reply(slot, acquired);
-                self.extend_with_completions(&mut out, actions);
-                out
+                self.extend_with_completions(out, actions);
             }
             other => panic!("lock completion for non-lock token: {other:?}"),
         }
@@ -882,9 +860,22 @@ impl R2p2 {
     /// and to every live object capture.
     pub fn on_invalidation(&mut self, block: BlockAddr) {
         self.engine.on_invalidation(block);
-        for ctx in self.captures.values_mut() {
-            ctx.capture.on_invalidation(block);
+        if !self.captures.is_empty() {
+            for ctx in self.captures.values_mut() {
+                ctx.capture.on_invalidation(block);
+            }
         }
+    }
+
+    /// A packet from this pipeline to pipeline `pipe` of node `node`.
+    fn send_to(&self, node: NodeId, pipe: PipeId, kind: PacketKind) -> R2p2Action {
+        R2p2Action::Send(Packet {
+            src_node: self.node,
+            src_pipe: self.pipe,
+            dst_node: node,
+            dst_pipe: pipe,
+            kind,
+        })
     }
 
     fn extend_with_completions(&mut self, out: &mut Vec<R2p2Action>, actions: Vec<Action>) {
@@ -893,16 +884,14 @@ impl R2p2 {
             let route = self.routes[usize::from(slot.0)]
                 .take()
                 .unwrap_or_else(|| panic!("completion for routeless slot of {id}"));
-            out.push(R2p2Action::Send(Packet {
-                src_node: self.node,
-                src_pipe: self.pipe,
-                dst_node: route.node,
-                dst_pipe: route.pipe,
-                kind: PacketKind::SabreValidation {
+            out.push(self.send_to(
+                route.node,
+                route.pipe,
+                PacketKind::SabreValidation {
                     transfer: route.transfer,
                     atomic,
                 },
-            }));
+            ));
             self.try_unpark();
         }
     }
@@ -926,6 +915,13 @@ mod tests {
             dst_pipe: 0,
             kind,
         }
+    }
+
+    /// Completes a read and returns just the replies it produced.
+    fn mem_reply(r: &mut R2p2, token: MemToken, data: Block) -> Vec<R2p2Action> {
+        let mut out = Vec::new();
+        r.on_mem_reply(token, data, &mut out);
+        out
     }
 
     fn block_with_version(v: u64) -> Block {
@@ -964,7 +960,7 @@ mod tests {
         };
         assert_eq!(block, BlockAddr::from_index(2));
         assert_eq!(kind, ReadKind::Plain);
-        let out = r.on_mem_reply(token, Block([9; BLOCK_BYTES]));
+        let out = mem_reply(&mut r, token, Block([9; BLOCK_BYTES]));
         assert_eq!(out.len(), 1);
         let R2p2Action::Send(reply) = out[0] else {
             panic!("expected Send");
@@ -998,9 +994,9 @@ mod tests {
             tokens.push(token);
         }
         assert_eq!(tokens.len(), 2);
-        let out0 = r.on_mem_reply(tokens[0], block_with_version(2));
+        let out0 = mem_reply(&mut r, tokens[0], block_with_version(2));
         assert_eq!(out0.len(), 1, "payload forwarded immediately");
-        let out1 = r.on_mem_reply(tokens[1], Block::ZERO);
+        let out1 = mem_reply(&mut r, tokens[1], Block::ZERO);
         assert_eq!(out1.len(), 2, "last payload + validation");
         let R2p2Action::Send(val) = out1[1] else {
             panic!()
@@ -1035,7 +1031,7 @@ mod tests {
         assert_eq!(block, BlockAddr::from_index(0));
         assert!(r.next_issue().is_none(), "SABRe 2 is parked");
         // Completing SABRe 1 unparks SABRe 2, replaying its request.
-        let out = r.on_mem_reply(token, block_with_version(0));
+        let out = mem_reply(&mut r, token, block_with_version(0));
         assert_eq!(out.len(), 2);
         let R2p2Action::MemRead { block, .. } = r.next_issue().unwrap() else {
             panic!()
@@ -1056,7 +1052,8 @@ mod tests {
         let R2p2Action::MemWrite { token, .. } = r.next_issue().unwrap() else {
             panic!()
         };
-        let out = r.on_mem_write_done(token);
+        let mut out = Vec::new();
+        r.on_mem_write_done(token, &mut out);
         let R2p2Action::Send(ack) = out[0] else {
             panic!()
         };
@@ -1078,7 +1075,8 @@ mod tests {
             panic!("expected WriterCas");
         };
         assert_eq!(version_addr, Addr::new(0));
-        let out = r.on_cas_done(token, true);
+        let mut out = Vec::new();
+        r.on_cas_done(token, true, &mut out);
         let R2p2Action::Send(rep) = out[0] else {
             panic!()
         };
@@ -1096,7 +1094,8 @@ mod tests {
         let R2p2Action::WriterUnlock { token, .. } = r.next_issue().unwrap() else {
             panic!("expected WriterUnlock");
         };
-        let out = r.on_unlock_done(token);
+        out.clear();
+        r.on_unlock_done(token, &mut out);
         let R2p2Action::Send(rep) = out[0] else {
             panic!()
         };
@@ -1121,7 +1120,7 @@ mod tests {
         assert_eq!(block, BlockAddr::from_index(0));
         assert!(r.next_issue().is_none(), "slot blocks wait for the header");
         // Publish word names slot 1 → slot base = 64 + 1*128 = 192.
-        let out = r.on_mem_reply(token, block_with_version(1));
+        let out = mem_reply(&mut r, token, block_with_version(1));
         assert!(out.is_empty(), "header reply only queues the slot reads");
         let mut tokens = Vec::new();
         let mut blocks = Vec::new();
@@ -1136,10 +1135,8 @@ mod tests {
             blocks,
             vec![BlockAddr::from_index(3), BlockAddr::from_index(4)]
         );
-        assert!(r
-            .on_mem_reply(tokens[0], Block([5; BLOCK_BYTES]))
-            .is_empty());
-        let out = r.on_mem_reply(tokens[1], Block([6; BLOCK_BYTES]));
+        assert!(mem_reply(&mut r, tokens[0], Block([5; BLOCK_BYTES])).is_empty());
+        let out = mem_reply(&mut r, tokens[1], Block([6; BLOCK_BYTES]));
         assert_eq!(out.len(), 3, "header + 2 slot blocks stream back");
         for (i, a) in out.iter().enumerate() {
             let R2p2Action::Send(p) = a else {
@@ -1178,10 +1175,10 @@ mod tests {
             R2p2Action::MemRead { token, .. } => token,
             a => panic!("{a:?}"),
         };
-        assert!(r.on_mem_reply(t0, block_with_version(2)).is_empty());
+        assert!(mem_reply(&mut r, t0, block_with_version(2)).is_empty());
         // A writer dirties block 1 before its read lands: restart.
         r.on_invalidation(BlockAddr::from_index(1));
-        assert!(r.on_mem_reply(t1, Block::ZERO).is_empty());
+        assert!(mem_reply(&mut r, t1, Block::ZERO).is_empty());
         assert_eq!(r.stats().capture_restarts, 0, "counted at delivery");
         // The restarted pass runs clean and delivers both blocks.
         let mut out = Vec::new();
@@ -1189,7 +1186,7 @@ mod tests {
             let R2p2Action::MemRead { token, .. } = a else {
                 panic!("expected MemRead, got {a:?}")
             };
-            out = r.on_mem_reply(token, block_with_version(2));
+            out = mem_reply(&mut r, token, block_with_version(2));
         }
         assert_eq!(out.len(), 2);
         assert_eq!(r.stats().capture_restarts, 1);
@@ -1224,7 +1221,7 @@ mod tests {
             ]
         );
         for (i, token) in tokens.into_iter().enumerate() {
-            let out = r.on_mem_reply(token, Block([i as u8; BLOCK_BYTES]));
+            let out = mem_reply(&mut r, token, Block([i as u8; BLOCK_BYTES]));
             assert_eq!(out.len(), 1);
             let R2p2Action::Send(rep) = out[0] else {
                 panic!("expected Send")
@@ -1375,9 +1372,9 @@ mod tests {
             a => panic!("{a:?}"),
         };
         // Reply for block 1 first, then a conflicting invalidation.
-        r.on_mem_reply(t1, Block::ZERO);
+        mem_reply(&mut r, t1, Block::ZERO);
         r.on_invalidation(BlockAddr::from_index(1));
-        let out = r.on_mem_reply(t0, block_with_version(0));
+        let out = mem_reply(&mut r, t0, block_with_version(0));
         let R2p2Action::Send(val) = out[1] else {
             panic!()
         };
